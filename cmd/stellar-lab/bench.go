@@ -80,8 +80,8 @@ type benchReport struct {
 	CPUs       int              `json:"cpus"`
 	GOMAXPROCS int              `json:"gomaxprocs"`
 	Config     benchConfig      `json:"config"`
-	Results    []benchResult    `json:"results"`
-	SpeedupX   float64          `json:"sharded_speedup_x"`
+	Results    []benchResult    `json:"results,omitempty"`
+	SpeedupX   float64          `json:"sharded_speedup_x,omitempty"`
 	Fabric     *fabricBench     `json:"fabric,omitempty"`
 	Scenario   *scenarioBench   `json:"scenario,omitempty"`
 	Mitctl     *mitctlBench     `json:"mitctl,omitempty"`
@@ -176,7 +176,7 @@ type fabricBench struct {
 
 func runBenchCommand(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	peers := fs.Int("peers", 64, "concurrent peer sessions")
+	peers := fs.Int("peers", 64, "concurrent peer sessions in the routeserver bench (0 = skip)")
 	prefixes := fs.Int("prefixes", 2000, "prefixes announced per peer")
 	updateSize := fs.Int("update-size", 10, "prefixes per UPDATE message")
 	shards := fs.Int("shards", 0, "RIB shards for the sharded run (0 = default)")
@@ -228,8 +228,8 @@ func runBenchCommand(args []string, w io.Writer) error {
 			f.Close()
 		}()
 	}
-	if *peers < 1 || *prefixes < 1 || *updateSize < 1 {
-		return fmt.Errorf("bench: -peers, -prefixes and -update-size must be >= 1")
+	if *peers < 0 || *prefixes < 1 || *updateSize < 1 {
+		return fmt.Errorf("bench: -peers must be >= 0, -prefixes and -update-size >= 1")
 	}
 	cfg := benchConfig{
 		Peers:             *peers,
@@ -249,13 +249,15 @@ func runBenchCommand(args []string, w io.Writer) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Config:     cfg,
 	}
-	single := benchThroughput(cfg, 1, true)
-	single.Name = "single-lock"
-	sharded := benchThroughput(cfg, cfg.Shards, false)
-	sharded.Name = "sharded"
-	report.Results = []benchResult{single, sharded}
-	if single.UpdatesPerSec > 0 {
-		report.SpeedupX = sharded.UpdatesPerSec / single.UpdatesPerSec
+	if *peers > 0 {
+		single := benchThroughput(cfg, 1, true)
+		single.Name = "single-lock"
+		sharded := benchThroughput(cfg, cfg.Shards, false)
+		sharded.Name = "sharded"
+		report.Results = []benchResult{single, sharded}
+		if single.UpdatesPerSec > 0 {
+			report.SpeedupX = sharded.UpdatesPerSec / single.UpdatesPerSec
+		}
 	}
 	if *fabricRules > 0 {
 		fb, err := benchFabric(*fabricRules, *fabricFlows)
@@ -392,10 +394,12 @@ func writeSections(prefix string, r *benchReport) error {
 		}
 		return f.Close()
 	}
-	if err := write("routeserver", benchReport{
-		Config: r.Config, Results: r.Results, SpeedupX: r.SpeedupX,
-	}); err != nil {
-		return err
+	if len(r.Results) > 0 {
+		if err := write("routeserver", benchReport{
+			Config: r.Config, Results: r.Results, SpeedupX: r.SpeedupX,
+		}); err != nil {
+			return err
+		}
 	}
 	if r.Fabric != nil {
 		if err := write("fabric", benchReport{Fabric: r.Fabric}); err != nil {

@@ -129,11 +129,40 @@ func TestBenchCommandOutFile(t *testing.T) {
 
 func TestBenchCommandRejectsZeroFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-update-size", "0"}, {"-peers", "0"}, {"-prefixes", "0"},
+		{"-update-size", "0"}, {"-peers", "-1"}, {"-prefixes", "0"},
 	} {
 		if err := runBenchCommand(args, io.Discard); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
+	}
+}
+
+// TestBenchCommandSkipsRouteserverSection pins that -peers 0 skips the
+// routeserver section like 0 skips every other section, and that the
+// per-section archive then has no routeserver file.
+func TestBenchCommandSkipsRouteserverSection(t *testing.T) {
+	prefix := filepath.Join(t.TempDir(), "BENCH_")
+	var buf bytes.Buffer
+	if err := runBenchCommand([]string{"-peers", "0", "-fabric-rules", "64", "-fabric-flows", "32",
+		"-scenario-victims", "0", "-mitctl-requests", "0", "-bgp-messages", "0", "-federation-exchanges", "0",
+		"-sections", prefix}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var r benchReport
+	if err := json.Unmarshal(buf.Bytes(), &r); err != nil {
+		t.Fatalf("bench output is not JSON: %v", err)
+	}
+	if len(r.Results) != 0 || r.SpeedupX != 0 {
+		t.Fatalf("routeserver section present despite -peers 0: %+v", r.Results)
+	}
+	if r.Fabric == nil {
+		t.Fatal("fabric section missing")
+	}
+	if _, err := os.Stat(prefix + "routeserver.json"); !os.IsNotExist(err) {
+		t.Fatalf("routeserver section archived despite -peers 0: %v", err)
+	}
+	if _, err := os.Stat(prefix + "fabric.json"); err != nil {
+		t.Fatalf("fabric section not archived: %v", err)
 	}
 }
 

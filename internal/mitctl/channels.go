@@ -101,29 +101,54 @@ func SpecFromPortalRule(r core.CustomRule, target netip.Prefix, ttl float64) Spe
 }
 
 // CommunityChannel is the BGP signaling adapter: it consumes the route
-// server's southbound feed, tracks announced paths in a RIB, and on
-// every snapshot diff compiles the paths' Advanced Blackholing signals
-// into mitigation requests and withdrawals. A re-announcement with the
-// same signals refreshes (idempotent); changed signals withdraw the old
-// specs and request the new ones; a withdrawn path (or session loss)
-// withdraws everything it requested.
+// server's southbound feed, tracks announced paths in a RIB, and for
+// every path a batch of events changed compiles the path's Advanced
+// Blackholing signals into mitigation requests and withdrawals. A
+// re-announcement with the same signals refreshes (idempotent); changed
+// signals withdraw the old specs and request the new ones; a withdrawn
+// path (or session loss) withdraws everything it requested.
 type CommunityChannel struct {
 	ctl *Controller
 
 	mu      sync.Mutex
 	rib     *rib.Table
-	prev    rib.Snapshot
 	desired map[rib.PathKey][]desiredSpec
 	// refs counts, per mitigation ID, the paths currently desiring it.
 	// Content-derived IDs mean distinct paths (ADD-PATH duplicates of
 	// the same announcement) can request the same mitigation; it must
 	// only be withdrawn when the LAST such path goes away.
 	refs map[string]int
+
+	// observe, when non-nil, sees every controller call just before it
+	// is made (a test seam).
+	observe func(channelCall)
 }
 
 type desiredSpec struct {
 	id   string
 	spec Spec
+}
+
+// channelCall is one controller call a batch compiles to: a Withdraw
+// of id on behalf of requester, or a Request of spec.
+type channelCall struct {
+	withdraw  bool
+	id        string
+	requester string
+	spec      Spec
+}
+
+type compileErr struct {
+	member string
+	target netip.Prefix
+	err    error
+}
+
+// channelPlan is the controller work one batch compiles to, run outside
+// the channel lock (controller events fire subscribers synchronously).
+type channelPlan struct {
+	errs  []compileErr
+	calls []channelCall
 }
 
 // NewCommunityChannel attaches a community adapter to a controller.
@@ -150,47 +175,68 @@ func (ch *CommunityChannel) HandleEvent(ev routeserver.ControllerEvent, now floa
 
 // HandleEvents folds a batch of route-server events into the channel's
 // RIB and compiles the resulting path diff into controller requests and
-// withdrawals. It pairs with the route server's batched feed the same
-// way core.Stellar.HandleEvents did: one snapshot diff per batch.
+// withdrawals. It pairs with the route server's batched feed: one diff
+// per batch, over only the keys the batch touched, so its cost follows
+// the batch size, not the table size.
 func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now float64) {
 	if len(evs) == 0 {
 		return
 	}
 	ch.mu.Lock()
+	plan := ch.planLocked(ch.applyLocked(evs))
+	ch.mu.Unlock()
+	ch.execute(plan, now)
+}
+
+// applyLocked folds evs into the RIB and returns the batch's path diff.
+// It records the pre-batch path of every key the batch touches (nil:
+// absent before the batch) on first touch; the table is private and
+// only mutated here under ch.mu, so the before/after pairs of those
+// keys are exactly the whole-table diff.
+func (ch *CommunityChannel) applyLocked(evs []routeserver.ControllerEvent) rib.Diff {
+	before := make(map[rib.PathKey]*rib.Path)
+	touch := func(key rib.PathKey) {
+		if _, ok := before[key]; !ok {
+			before[key] = ch.rib.Get(key)
+		}
+	}
 	for _, ev := range evs {
 		for _, prefix := range ev.Withdrawn {
 			key := rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}
+			touch(key)
 			if !ch.rib.Remove(key) && ev.PathID != 0 {
 				// Wire-feed withdrawals carry no attributes, so the peer
 				// label may not match the installed path's; the ADD-PATH
 				// identifier alone names the path.
 				if p := ch.rib.FindByPathID(prefix, ev.PathID); p != nil {
+					touch(p.Key)
 					ch.rib.Remove(p.Key)
 				}
 			}
 		}
 		for _, prefix := range ev.Announced {
-			ch.rib.Add(rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}, ev.PeerAS, ev.Attrs)
+			key := rib.PathKey{Prefix: prefix, Peer: ev.Peer, PathID: ev.PathID}
+			touch(key)
+			ch.rib.Add(key, ev.PeerAS, ev.Attrs)
 		}
 	}
-	next := ch.rib.Snapshot()
-	diff := rib.DiffSnapshots(ch.prev, next)
-	ch.prev = next
-	if diff.Empty() {
-		ch.mu.Unlock()
-		return
+	old := make(rib.Snapshot, len(before))
+	next := make(rib.Snapshot, len(before))
+	for key, p := range before {
+		if p != nil {
+			old[key] = p
+		}
+		if p := ch.rib.Get(key); p != nil {
+			next[key] = p
+		}
 	}
+	return rib.DiffSnapshots(old, next)
+}
 
-	// Reconcile each touched path's desired specs, collecting the
-	// controller calls to run outside the channel lock (controller
-	// events fire subscribers synchronously).
-	type action struct {
-		withdraw  bool
-		id        string
-		requester string
-		spec      Spec
-	}
-	var actions []action
+// planLocked reconciles each path in diff against the specs it desired
+// before, updating desired and refs, and returns the controller work.
+func (ch *CommunityChannel) planLocked(diff rib.Diff) channelPlan {
+	var plan channelPlan
 	reconcile := func(key rib.PathKey, want []desiredSpec) {
 		have := ch.desired[key]
 		wantByID := make(map[string]bool, len(want))
@@ -215,7 +261,7 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 		for _, d := range stale {
 			if ch.refs[d.id]--; ch.refs[d.id] <= 0 {
 				delete(ch.refs, d.id)
-				actions = append(actions, action{withdraw: true, id: d.id, requester: d.spec.Requester})
+				plan.calls = append(plan.calls, channelCall{withdraw: true, id: d.id, requester: d.spec.Requester})
 			}
 		}
 		// Every wanted spec is requested, including ones this path already
@@ -229,7 +275,7 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 			if !haveByID[d.id] {
 				ch.refs[d.id]++
 			}
-			actions = append(actions, action{id: d.id, requester: d.spec.Requester, spec: d.spec})
+			plan.calls = append(plan.calls, channelCall{id: d.id, requester: d.spec.Requester, spec: d.spec})
 		}
 		if len(want) == 0 {
 			delete(ch.desired, key)
@@ -237,19 +283,13 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 			ch.desired[key] = want
 		}
 	}
-	type compileErr struct {
-		member string
-		target netip.Prefix
-		err    error
-	}
-	var compileErrs []compileErr
 	specsFor := func(p *rib.Path) []desiredSpec {
 		var out []desiredSpec
 		seen := make(map[string]bool)
 		for _, rs := range core.SignalsFrom(&p.Attrs) {
 			spec, err := SpecFromSignal(p.Key.Peer, p.Key.Prefix, rs, ch.ctl.Portal())
 			if err != nil {
-				compileErrs = append(compileErrs, compileErr{p.Key.Peer, p.Key.Prefix, err})
+				plan.errs = append(plan.errs, compileErr{p.Key.Peer, p.Key.Prefix, err})
 				continue
 			}
 			// spec.TTL stays 0: the controller's DefaultTTL is the one
@@ -272,22 +312,27 @@ func (ch *CommunityChannel) HandleEvents(evs []routeserver.ControllerEvent, now 
 	for _, p := range diff.Changed {
 		reconcile(p.Key, specsFor(p))
 	}
-	ch.mu.Unlock()
+	return plan
+}
 
-	for _, e := range compileErrs {
+// execute runs a batch's controller work: compile errors first, then
+// the calls in order.
+func (ch *CommunityChannel) execute(plan channelPlan, now float64) {
+	for _, e := range plan.errs {
 		ch.ctl.noteError(e.member, e.target, e.err)
 	}
-	for _, a := range actions {
+	for _, a := range plan.calls {
+		if ch.observe != nil {
+			ch.observe(a)
+		}
 		if a.withdraw {
 			// Ignore not-owner/unknown errors: the mitigation may have
 			// been withdrawn directly through the API already.
 			_ = ch.ctl.Withdraw(a.id, a.requester, now)
 			continue
 		}
-		if _, err := ch.ctl.Request(a.spec, now); err != nil {
-			// Validation/admission rejections are recorded in the store
-			// and on the event stream by the controller itself.
-			continue
-		}
+		// Validation/admission rejections are recorded in the store and
+		// on the event stream by the controller itself.
+		_, _ = ch.ctl.Request(a.spec, now)
 	}
 }

@@ -307,8 +307,12 @@ type Controller struct {
 	// remove.
 	processMu sync.Mutex
 
-	mu      sync.Mutex
-	mits    map[string]*mit
+	mu   sync.Mutex
+	mits map[string]*mit
+	// live indexes the pending and active members of mits, so per-tick
+	// scans cost O(live mitigations), not O(history) when final ones go
+	// unpruned. Request adds to it; every move to a final state removes.
+	live    map[string]*mit
 	rules   map[string]ruleEntry
 	queue   []queuedOp
 	tokens  float64
@@ -331,9 +335,11 @@ type Controller struct {
 // Retention bounds for long-running deployments: telemetry slices keep
 // a recent window (oldest half dropped on overflow) instead of growing
 // for the controller's lifetime; rule-status entries are deleted once
-// their removal resolves.
+// their removal resolves. A few thousand recent latencies are enough
+// for a delay distribution; a larger window is live heap that a busy
+// control plane fills within seconds (two samples per signal).
 const (
-	maxRetainedLatencies = 1 << 16
+	maxRetainedLatencies = 4096
 	maxRetainedErrors    = 4096
 )
 
@@ -383,6 +389,7 @@ func New(cfg Config) *Controller {
 	return &Controller{
 		cfg:    cfg,
 		mits:   make(map[string]*mit),
+		live:   make(map[string]*mit),
 		rules:  make(map[string]ruleEntry),
 		tokens: float64(cfg.QueueBurst),
 		rng:    stats.NewRand(seed),
@@ -501,8 +508,8 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	}
 	if max := c.cfg.MaxActivePerMember; max > 0 {
 		live := 0
-		for _, m := range c.mits {
-			if m.Requester == spec.Requester && !m.State.Final() {
+		for _, m := range c.live {
+			if m.Requester == spec.Requester {
 				live++
 			}
 		}
@@ -544,6 +551,7 @@ func (c *Controller) Request(spec Spec, now float64) (Mitigation, error) {
 	c.version++
 	m.Version = c.version
 	c.mits[spec.ID] = m
+	c.live[spec.ID] = m
 	view := m.Mitigation
 	subs, evs := c.subsLocked(), []Event{
 		{Type: EventRequested, Time: now, Mitigation: view},
@@ -585,6 +593,7 @@ func (c *Controller) Withdraw(id, requester string, now float64) error {
 // the removal of its rules.
 func (c *Controller) finalizeLocked(m *mit, s State, now float64) {
 	m.State = s
+	delete(c.live, m.ID)
 	c.version++
 	m.Version = c.version
 	for _, rid := range m.RuleIDs {
@@ -627,8 +636,8 @@ func (c *Controller) Process(now float64) int {
 	// one's removals win the tick's remaining tokens (determinism is a
 	// repo-wide invariant).
 	var due []*mit
-	for _, m := range c.mits {
-		if !m.State.Final() && m.ExpiresAt > 0 && m.ExpiresAt <= now {
+	for _, m := range c.live {
+		if m.ExpiresAt > 0 && m.ExpiresAt <= now {
 			due = append(due, m)
 		}
 	}
@@ -872,6 +881,7 @@ func (c *Controller) installFailedLocked(op queuedOp, err error, now float64) []
 	if m.State == StatePending && m.pendingInstalls == 0 && m.okInstalls == 0 {
 		// Every rule was refused (hardware admission control).
 		m.State = StateRejected
+		delete(c.live, m.ID)
 		c.version++
 		m.Version = c.version
 		return []Event{{Type: EventRejected, Time: now, Mitigation: m.Mitigation}}
@@ -915,8 +925,8 @@ func (c *Controller) scanUpgradesLocked(now float64) {
 		return
 	}
 	var cands []*mit
-	for _, m := range c.mits {
-		if !m.State.Final() && m.Degraded && !m.upgrading && now >= m.nextUpgradeAt {
+	for _, m := range c.live {
+		if m.Degraded && !m.upgrading && now >= m.nextUpgradeAt {
 			cands = append(cands, m)
 		}
 	}
@@ -984,18 +994,18 @@ func (c *Controller) Snapshot() Snapshot {
 func (c *Controller) Active() []Mitigation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Mitigation, 0, len(c.mits))
-	for _, m := range c.mits {
-		if !m.State.Final() {
-			out = append(out, m.Mitigation)
-		}
+	out := make([]Mitigation, 0, len(c.live))
+	for _, m := range c.live {
+		out = append(out, m.Mitigation)
 	}
 	sortMitigations(out)
 	return out
 }
 
 // Prune drops final-state mitigations last touched before the given
-// version, bounding store growth in long-running deployments.
+// version, bounding store growth in long-running deployments. Final
+// mitigations cost Process and Request nothing (they scan only the live
+// index), so pruning bounds memory, not per-tick work.
 func (c *Controller) Prune(beforeVersion uint64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -26,7 +26,7 @@ type harness struct {
 
 func memberName(i int) string { return fmt.Sprintf("AS%d", 64512+i) }
 
-func newHarness(t *testing.T, n int, limits *hw.Limits) *harness {
+func newHarness(t testing.TB, n int, limits *hw.Limits) *harness {
 	t.Helper()
 	h := &harness{
 		fab:  fabric.New(),
@@ -424,6 +424,9 @@ func TestHardwareAdmissionRejection(t *testing.T) {
 	}
 	if rc := ruleCount(t, h, memberName(0)); rc != 0 {
 		t.Fatalf("rules: %d", rc)
+	}
+	if live := ctl.Active(); len(live) != 0 {
+		t.Fatalf("rejected mitigation still live: %+v", live)
 	}
 	// A later withdraw of the rejected mitigation must not emit
 	// spurious removals.

@@ -2,8 +2,10 @@
 // server and Stellar's blackholing controller: per-peer Adj-RIB-In tables
 // keyed by (prefix, peer, path-id) so that ADD-PATH sessions can hold
 // multiple paths per prefix, BGP best-path selection, and snapshot
-// diffing. Snapshot diffs are how the controller turns a BGP message
-// stream into a set of abstract configuration changes (Section 4.4).
+// diffing. A diff of the paths one batch of BGP messages touched is how
+// the controller turns a BGP message stream into a set of abstract
+// configuration changes (Section 4.4): snapshots of just those keys,
+// before and after the batch, fed to DiffSnapshots.
 //
 // The table is sharded by prefix hash: every prefix lives in exactly one
 // shard, each shard owns its routes map and cached best paths behind its
@@ -235,6 +237,17 @@ func (t *Table) RemovePeerWithBest(peer string) ([]*Path, []BestChange) {
 	sortPaths(removed)
 	sort.Slice(changes, func(i, j int) bool { return prefixLess(changes[i].Prefix, changes[j].Prefix) })
 	return removed, changes
+}
+
+// Get returns the path stored under key, or nil.
+func (t *Table) Get(key PathKey) *Path {
+	sh := t.shardFor(key.Prefix)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e := sh.routes[key.Prefix]; e != nil {
+		return e.paths[key]
+	}
+	return nil
 }
 
 // FindByPathID returns the path for (prefix, pathID) regardless of the

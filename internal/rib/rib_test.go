@@ -336,6 +336,27 @@ func TestFindByPathID(t *testing.T) {
 	}
 }
 
+func TestGet(t *testing.T) {
+	tbl := New()
+	k := PathKey{Prefix: pfx("100.10.10.10/32"), Peer: "a", PathID: 7}
+	stored := tbl.Add(k, 1, attrs(1))
+	if p := tbl.Get(k); p != stored {
+		t.Fatalf("Get: %+v, want the stored path", p)
+	}
+	other := k
+	other.PathID = 8
+	if p := tbl.Get(other); p != nil {
+		t.Fatalf("Get of another path of the prefix: %+v", p)
+	}
+	if p := tbl.Get(PathKey{Prefix: pfx("9.9.9.9/32"), Peer: "a", PathID: 7}); p != nil {
+		t.Fatalf("Get of an unknown prefix: %+v", p)
+	}
+	tbl.Remove(k)
+	if p := tbl.Get(k); p != nil {
+		t.Fatalf("Get after Remove: %+v", p)
+	}
+}
+
 func TestNewShardedRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{0, 1}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {32, 32}, {33, 64},
