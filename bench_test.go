@@ -431,10 +431,8 @@ func benchFlows(n int) []netpkt.FlowKey {
 }
 
 // BenchmarkFabricClassifier compares classification cost at growing
-// rule counts: the retained linear-scan baseline, the compiled
-// classifier hashing on demand, and the compiled classifier fed
-// pre-hashed flows (the egress hot-loop configuration). The acceptance
-// bar is compiled ≥ 5x linear at 1024 rules.
+// rule counts: the retained linear-scan baseline against the compiled
+// classifier. The acceptance bar is compiled ≥ 5x linear at 1024 rules.
 func BenchmarkFabricClassifier(b *testing.B) {
 	for _, n := range []int{16, 256, 1024} {
 		port := fabric.NewPort("victim", netpkt.MustParseMAC("02:00:00:00:00:01"), 1e9)
@@ -444,10 +442,6 @@ func BenchmarkFabricClassifier(b *testing.B) {
 			}
 		}
 		flows := benchFlows(512)
-		hashes := make([]uint64, len(flows))
-		for i, f := range flows {
-			hashes[i] = f.Hash()
-		}
 		rules := port.Rules()
 		b.Run(fmt.Sprintf("linear-scan/rules=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -464,13 +458,6 @@ func BenchmarkFabricClassifier(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				port.Classify(flows[i%len(flows)])
-			}
-		})
-		b.Run(fmt.Sprintf("compiled-prehashed/rules=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				j := i % len(flows)
-				port.ClassifyHashed(flows[j], hashes[j])
 			}
 		})
 	}

@@ -160,14 +160,13 @@ type scenarioBench struct {
 
 // fabricBench is the data-plane half of the report: classification cost
 // on one port under the retained linear-scan baseline versus the
-// compiled classifier (hash-on-demand and pre-hashed), plus a full
-// egress-tick rate with the compiled path.
+// compiled classifier, plus a full egress-tick rate with the compiled
+// path.
 type fabricBench struct {
 	Rules               int     `json:"rules"`
 	Flows               int     `json:"flows"`
 	LinearNsPerOp       float64 `json:"linear_ns_per_classify"`
 	CompiledNsPerOp     float64 `json:"compiled_ns_per_classify"`
-	PrehashedNsPerOp    float64 `json:"prehashed_ns_per_classify"`
 	CompiledSpeedupX    float64 `json:"compiled_speedup_x"`
 	EgressTicksPerSec   float64 `json:"egress_ticks_per_sec"`
 	EgressFlowsPerSec   float64 `json:"egress_flows_per_sec"`
@@ -899,8 +898,7 @@ func benchEngine(victims, peersPer, ticks int, profile bool) (*engineBench, erro
 // benchFabric measures the port classifier: a blackholing-shaped rule
 // set (mostly per-source-port drops plus prefix and MAC rules), a flow
 // population of which a quarter matches, classified by (a) the retained
-// linear-scan baseline over Port.Rules(), (b) Port.Classify hashing on
-// demand, and (c) Port.ClassifyHashed with pre-hashed flows, then a
+// linear-scan baseline over Port.Rules() and (b) Port.Classify, then a
 // full flow-level egress tick on the compiled path. The rule/flow
 // shape intentionally mirrors benchRules/benchFlows in bench_test.go so
 // the JSON numbers track the go-test benchmarks.
@@ -929,7 +927,6 @@ func benchFabric(nRules, nFlows int) (*fabricBench, error) {
 	buildUsec := time.Since(buildStart).Seconds() * 1e6 / float64(nRules)
 
 	flows := make([]netpkt.FlowKey, nFlows)
-	hashes := make([]uint64, nFlows)
 	offers := make([]fabric.Offer, nFlows)
 	for i := range flows {
 		srcPort := uint16(40000 + i)
@@ -944,8 +941,7 @@ func benchFabric(nRules, nFlows int) (*fabricBench, error) {
 			SrcPort: srcPort,
 			DstPort: 443,
 		}
-		hashes[i] = flows[i].Hash()
-		offers[i] = fabric.Offer{Flow: flows[i], FlowHash: hashes[i], Bytes: 1e4, Packets: 10}
+		offers[i] = fabric.Offer{Flow: flows[i], FlowHash: flows[i].Hash(), Bytes: 1e4, Packets: 10}
 	}
 
 	rules := port.Rules()
@@ -959,7 +955,6 @@ func benchFabric(nRules, nFlows int) (*fabricBench, error) {
 		}
 	})
 	res.CompiledNsPerOp = timePerOp(func(i int) { port.Classify(flows[i%nFlows]) })
-	res.PrehashedNsPerOp = timePerOp(func(i int) { j := i % nFlows; port.ClassifyHashed(flows[j], hashes[j]) })
 	if res.CompiledNsPerOp > 0 {
 		res.CompiledSpeedupX = res.LinearNsPerOp / res.CompiledNsPerOp
 	}

@@ -91,7 +91,7 @@ func TestBenchCommandFabricSection(t *testing.T) {
 	if f.Rules != 64 || f.Flows != 32 {
 		t.Fatalf("fabric config: %+v", f)
 	}
-	if f.LinearNsPerOp <= 0 || f.CompiledNsPerOp <= 0 || f.PrehashedNsPerOp <= 0 {
+	if f.LinearNsPerOp <= 0 || f.CompiledNsPerOp <= 0 {
 		t.Fatalf("fabric timings: %+v", f)
 	}
 	if f.CompiledSpeedupX <= 0 || f.EgressTicksPerSec <= 0 {

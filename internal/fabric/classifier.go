@@ -1,9 +1,9 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"net/netip"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"stellar/internal/netpkt"
 )
@@ -19,26 +19,21 @@ import (
 // The compiled form indexes every rule under its most selective
 // criterion, exactly once:
 //
-//   - exact-match hash tables keyed by (proto, dst-port) and
-//     (proto, src-port), with proto 0 buckets for any-proto port rules;
-//   - per-field binary prefix tries for DstIP and SrcIP (v4 and v6);
+//   - exact-match tables keyed by (proto, dst-port) and (proto,
+//     src-port), with proto 0 buckets for any-proto port rules;
+//   - per-field exact-match prefix tables for DstIP and SrcIP, keyed by
+//     the masked prefix and probed once per prefix length present;
 //   - a SrcMAC exact-match index;
 //   - a short residual list for rules too wildcarded to index
 //     (MatchAll, proto-only).
 //
-// Lookup consults each structure the flow header can reach, re-verifies
-// candidates with Match.Matches (indexes are pre-filters, never
-// authorities), and keeps the candidate with the lowest install order —
-// preserving the first-match-priority semantics of the linear scan.
-// Candidate lists are sorted by install order so each list can stop as
-// soon as its next priority cannot beat the best match found so far.
-//
-// On top of the compiled form, each classifier generation carries a
-// flow-result memo keyed by netpkt.FlowKey.Hash: flow-level simulations
-// re-offer the same flows tick after tick, so after the first tick a
-// classification is one cache hit. The memo belongs to the generation,
-// so a rule change can never serve a stale verdict — the new classifier
-// starts with an empty memo.
+// Lookup probes only the structures that hold a rule the flow header
+// can reach, re-verifies candidates with Match.Matches (indexes are
+// pre-filters, never authorities), and keeps the candidate with the
+// lowest install order — preserving the first-match-priority semantics
+// of the linear scan. Candidate lists are sorted by install order so
+// each list can stop as soon as its next priority cannot beat the best
+// match found so far. Port, MAC and v4 prefix keys are integers.
 
 // candidate is one indexed rule plus its install order (lower wins).
 type candidate struct {
@@ -46,62 +41,115 @@ type candidate struct {
 	pri  int
 }
 
-// protoPortKey is the exact-match key of the port tables. proto 0 holds
-// rules that wildcard the protocol but pin a port.
-type protoPortKey struct {
-	proto netpkt.IPProto
-	port  uint16
-}
-
-// trieNode is one bit of a binary prefix trie; rules whose prefix ends
-// at this node are candidates for any address routed through it.
-type trieNode struct {
-	child [2]*trieNode
-	cands []candidate
-}
-
-// prefixTrie holds one address family pair of tries for one match field.
-type prefixTrie struct {
-	v4, v6 *trieNode
-}
-
-func (t *prefixTrie) insert(p trieKey, bits int, c candidate) {
-	root := t.v6
-	if p.is4 {
-		root = t.v4
-	}
-	n := root
-	for i := 0; i < bits; i++ {
-		b := (p.addr[i/8] >> (7 - i%8)) & 1
-		if n.child[b] == nil {
-			n.child[b] = &trieNode{}
-		}
-		n = n.child[b]
-	}
-	n.cands = append(n.cands, c)
-}
-
-// trieKey is an address in trie form: big-endian bytes plus family. For
-// v4 the native 4-byte form occupies the front of addr, so prefix bit
-// counts index the real address bits (the 4-in-6 mapped form would put
-// 96 zero bits first and collapse every v4 prefix onto one spine).
-type trieKey struct {
-	addr [16]byte
-	is4  bool
-}
-
 const noMatch = int(^uint(0) >> 1) // max int: "no rule yet"
 
-// maxMemoEntries bounds the per-generation flow memo so adversarial
-// flow cardinality cannot grow memory without bound.
-const maxMemoEntries = 1 << 16
+// portIndex is one port field's exact-match table, keyed by portKey.
+// proto 0 holds rules that wildcard the protocol but pin a port;
+// anyProto records whether any exist, so lookups skip that probe
+// otherwise.
+type portIndex struct {
+	byKey    map[uint32][]candidate
+	anyProto bool
+}
 
-// memoEntry records one memoized classification. The full key is kept
-// so a 64-bit hash collision degrades to a recomputation, never a wrong
-// verdict.
-type memoEntry struct {
-	key  netpkt.FlowKey
-	rule *Rule // nil: default forwarding queue
+func portKey(proto netpkt.IPProto, port uint16) uint32 {
+	return uint32(proto)<<16 | uint32(port)
+}
+
+func (x *portIndex) add(proto netpkt.IPProto, port int32, c candidate) {
+	if x.byKey == nil {
+		x.byKey = make(map[uint32][]candidate)
+	}
+	k := portKey(proto, uint16(port))
+	x.byKey[k] = append(x.byKey[k], c)
+	x.anyProto = x.anyProto || proto == 0
+}
+
+func (x *portIndex) consider(f netpkt.FlowKey, port uint16, best *Rule, bestPri int) (*Rule, int) {
+	if x.byKey == nil {
+		return best, bestPri
+	}
+	best, bestPri = considerList(x.byKey[portKey(f.Proto, port)], f, best, bestPri)
+	if x.anyProto && f.Proto != 0 {
+		best, bestPri = considerList(x.byKey[portKey(0, port)], f, best, bestPri)
+	}
+	return best, bestPri
+}
+
+// prefixIndex is one address field's prefix rules: an exact-match table
+// per address family keyed by the masked prefix, plus the distinct
+// prefix lengths present. A lookup masks the flow address to each
+// present length and probes once per length.
+type prefixIndex struct {
+	v4     map[uint64][]candidate // v4Key(masked address, bits)
+	v4Lens []int
+	v6     map[netip.Prefix][]candidate
+	v6Lens []int
+}
+
+// v4Key packs a v4 address masked to bits, plus bits, into one integer.
+func v4Key(addr uint32, bits int) uint64 {
+	return uint64(addr&^(^uint32(0)>>bits))<<8 | uint64(bits)
+}
+
+func v4Uint(a netip.Addr) uint32 {
+	b := a.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+func (x *prefixIndex) add(p netip.Prefix, c candidate) {
+	bits := p.Bits()
+	if p.Addr().Is4() {
+		if x.v4 == nil {
+			x.v4 = make(map[uint64][]candidate)
+		}
+		k := v4Key(v4Uint(p.Addr()), bits)
+		x.v4[k] = append(x.v4[k], c)
+		x.v4Lens = addLen(x.v4Lens, bits)
+		return
+	}
+	if x.v6 == nil {
+		x.v6 = make(map[netip.Prefix][]candidate)
+	}
+	k := p.Masked()
+	x.v6[k] = append(x.v6[k], c)
+	x.v6Lens = addLen(x.v6Lens, bits)
+}
+
+// addLen adds bits to the set lens. Probe order does not matter:
+// priorities, not probe order, pick the winner.
+func addLen(lens []int, bits int) []int {
+	if slices.Contains(lens, bits) {
+		return lens
+	}
+	return append(lens, bits)
+}
+
+func (x *prefixIndex) consider(f netpkt.FlowKey, addr netip.Addr, best *Rule, bestPri int) (*Rule, int) {
+	if addr.Is4() {
+		if x.v4 == nil {
+			return best, bestPri
+		}
+		a := v4Uint(addr)
+		for _, bits := range x.v4Lens {
+			best, bestPri = considerList(x.v4[v4Key(a, bits)], f, best, bestPri)
+		}
+		return best, bestPri
+	}
+	if x.v6 == nil || !addr.IsValid() {
+		return best, bestPri
+	}
+	for _, bits := range x.v6Lens {
+		k, _ := addr.Prefix(bits)
+		best, bestPri = considerList(x.v6[k], f, best, bestPri)
+	}
+	return best, bestPri
+}
+
+// macKey packs a MAC address into one integer.
+func macKey(m netpkt.MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
 // classifier is an immutable compiled view of a port's rule set.
@@ -109,27 +157,17 @@ type classifier struct {
 	rules      []*Rule // install order (the authoritative priority)
 	shapeRules []*Rule // subset with Action == ActionShape, install order
 
-	byProtoDstPort map[protoPortKey][]candidate
-	byProtoSrcPort map[protoPortKey][]candidate
-	dstTrie        prefixTrie
-	srcTrie        prefixTrie
-	bySrcMAC       map[netpkt.MAC][]candidate
-	residual       []candidate
-
-	memo    sync.Map // uint64 -> *memoEntry
-	memoLen atomic.Int64
+	dstPort, srcPort portIndex
+	dstIP, srcIP     prefixIndex
+	bySrcMAC         map[uint64][]candidate
+	residual         []candidate
 }
 
 // compile builds the immutable classifier for rules (in install order).
+// Candidate lists are appended in install order, so they come out
+// sorted by priority; the early exit in considerList relies on it.
 func compile(rules []*Rule) *classifier {
-	c := &classifier{
-		rules:          rules,
-		byProtoDstPort: make(map[protoPortKey][]candidate),
-		byProtoSrcPort: make(map[protoPortKey][]candidate),
-		dstTrie:        prefixTrie{v4: &trieNode{}, v6: &trieNode{}},
-		srcTrie:        prefixTrie{v4: &trieNode{}, v6: &trieNode{}},
-		bySrcMAC:       make(map[netpkt.MAC][]candidate),
-	}
+	c := &classifier{rules: rules}
 	for pri, r := range rules {
 		if r.Action == ActionShape {
 			c.shapeRules = append(c.shapeRules, r)
@@ -138,35 +176,24 @@ func compile(rules []*Rule) *classifier {
 		m := r.Match
 		switch {
 		case m.DstPort != AnyPort:
-			k := protoPortKey{proto: m.Proto, port: uint16(m.DstPort)}
-			c.byProtoDstPort[k] = append(c.byProtoDstPort[k], cand)
+			c.dstPort.add(m.Proto, m.DstPort, cand)
 		case m.SrcPort != AnyPort:
-			k := protoPortKey{proto: m.Proto, port: uint16(m.SrcPort)}
-			c.byProtoSrcPort[k] = append(c.byProtoSrcPort[k], cand)
+			c.srcPort.add(m.Proto, m.SrcPort, cand)
 		case m.DstIP.IsValid():
-			c.dstTrie.insert(trieAddr(m.DstIP.Addr()), m.DstIP.Bits(), cand)
+			c.dstIP.add(m.DstIP, cand)
 		case m.SrcIP.IsValid():
-			c.srcTrie.insert(trieAddr(m.SrcIP.Addr()), m.SrcIP.Bits(), cand)
+			c.srcIP.add(m.SrcIP, cand)
 		case m.SrcMAC != nil:
-			c.bySrcMAC[*m.SrcMAC] = append(c.bySrcMAC[*m.SrcMAC], cand)
+			if c.bySrcMAC == nil {
+				c.bySrcMAC = make(map[uint64][]candidate)
+			}
+			k := macKey(*m.SrcMAC)
+			c.bySrcMAC[k] = append(c.bySrcMAC[k], cand)
 		default:
 			c.residual = append(c.residual, cand)
 		}
 	}
-	// Candidate lists are appended in install order, so they are already
-	// sorted by priority; the early-exit in considerList relies on it.
 	return c
-}
-
-func trieAddr(a netip.Addr) trieKey {
-	if a.Is4() {
-		var k trieKey
-		b4 := a.As4()
-		copy(k.addr[:], b4[:])
-		k.is4 = true
-		return k
-	}
-	return trieKey{addr: a.As16()}
 }
 
 // considerList scans one sorted candidate list, updating (best, bestPri)
@@ -185,86 +212,22 @@ func considerList(cands []candidate, f netpkt.FlowKey, best *Rule, bestPri int) 
 	return best, bestPri
 }
 
-// walkTrie descends the trie along addr's bits, feeding every node's
-// candidates (covering prefixes, shortest first) to considerList.
-func walkTrie(t *prefixTrie, f netpkt.FlowKey, addr netip.Addr, best *Rule, bestPri int) (*Rule, int) {
-	if !addr.IsValid() {
-		return best, bestPri
-	}
-	k := trieAddr(addr)
-	n := t.v6
-	maxBits := 128
-	if k.is4 {
-		n = t.v4
-		maxBits = 32
-	}
-	for i := 0; ; i++ {
-		if len(n.cands) > 0 {
-			best, bestPri = considerList(n.cands, f, best, bestPri)
-		}
-		if i == maxBits {
-			return best, bestPri
-		}
-		bit := (k.addr[i/8] >> (7 - i%8)) & 1
-		if n.child[bit] == nil {
-			return best, bestPri
-		}
-		n = n.child[bit]
-	}
-}
-
 // classify runs the compiled lookup: every index the flow can reach,
-// first-match (lowest install order) wins. It is read-only and safe for
-// unlimited concurrency.
+// first-match (lowest install order) wins, nil for the default
+// forwarding queue. It is read-only and safe for unlimited concurrency.
 func (c *classifier) classify(f netpkt.FlowKey) *Rule {
-	var best *Rule
-	bestPri := noMatch
-	if len(c.byProtoDstPort) > 0 {
-		best, bestPri = considerList(c.byProtoDstPort[protoPortKey{f.Proto, f.DstPort}], f, best, bestPri)
-		if f.Proto != 0 {
-			best, bestPri = considerList(c.byProtoDstPort[protoPortKey{0, f.DstPort}], f, best, bestPri)
-		}
+	if len(c.rules) == 0 {
+		// Rule-free port: the common case across a large member
+		// population.
+		return nil
 	}
-	if len(c.byProtoSrcPort) > 0 {
-		best, bestPri = considerList(c.byProtoSrcPort[protoPortKey{f.Proto, f.SrcPort}], f, best, bestPri)
-		if f.Proto != 0 {
-			best, bestPri = considerList(c.byProtoSrcPort[protoPortKey{0, f.SrcPort}], f, best, bestPri)
-		}
-	}
-	best, bestPri = walkTrie(&c.dstTrie, f, f.Dst, best, bestPri)
-	best, bestPri = walkTrie(&c.srcTrie, f, f.Src, best, bestPri)
-	if len(c.bySrcMAC) > 0 {
-		best, bestPri = considerList(c.bySrcMAC[f.SrcMAC], f, best, bestPri)
+	best, bestPri := c.dstPort.consider(f, f.DstPort, nil, noMatch)
+	best, bestPri = c.srcPort.consider(f, f.SrcPort, best, bestPri)
+	best, bestPri = c.dstIP.consider(f, f.Dst, best, bestPri)
+	best, bestPri = c.srcIP.consider(f, f.Src, best, bestPri)
+	if c.bySrcMAC != nil {
+		best, bestPri = considerList(c.bySrcMAC[macKey(f.SrcMAC)], f, best, bestPri)
 	}
 	best, _ = considerList(c.residual, f, best, bestPri)
 	return best
-}
-
-// classifyHashed is classify with the per-generation flow memo in
-// front. hash is the flow's netpkt.FlowKey.Hash (0: compute here).
-func (c *classifier) classifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
-	if len(c.rules) == 0 {
-		// Rule-free port (the common case across a large member
-		// population): nothing can match, skip the memo entirely.
-		return nil
-	}
-	if hash == 0 {
-		hash = f.Hash()
-	}
-	if v, ok := c.memo.Load(hash); ok {
-		e := v.(*memoEntry)
-		if e.key == f {
-			return e.rule
-		}
-		// 64-bit collision between distinct live flows: fall through and
-		// recompute without caching.
-		return c.classify(f)
-	}
-	r := c.classify(f)
-	if c.memoLen.Load() < maxMemoEntries {
-		if _, loaded := c.memo.LoadOrStore(hash, &memoEntry{key: f, rule: r}); !loaded {
-			c.memoLen.Add(1)
-		}
-	}
-	return r
 }

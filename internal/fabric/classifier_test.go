@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"sync"
@@ -61,7 +62,7 @@ func randomFlow(rng *rand.Rand, macs []netpkt.MAC) netpkt.FlowKey {
 
 // TestClassifierMatchesLinearScan cross-validates the compiled
 // classifier against the linear reference over randomized overlapping
-// rule sets, with and without pre-hashed lookups.
+// rule sets.
 func TestClassifierMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	macs := make([]netpkt.MAC, 6)
@@ -87,13 +88,6 @@ func TestClassifierMatchesLinearScan(t *testing.T) {
 			want := linearClassify(rules, f)
 			if got := p.Classify(f); got != want {
 				t.Fatalf("trial %d: Classify(%v) = %v, want %v (rules: %v)", trial, f, got, want, rules)
-			}
-			if got := p.ClassifyHashed(f, f.Hash()); got != want {
-				t.Fatalf("trial %d: ClassifyHashed(%v) = %v, want %v", trial, f, got, want)
-			}
-			// Memoized second lookup must agree.
-			if got := p.Classify(f); got != want {
-				t.Fatalf("trial %d: memoized Classify(%v) = %v, want %v", trial, f, got, want)
 			}
 		}
 	}
@@ -164,7 +158,7 @@ func TestClassifierAnyProtoPortRule(t *testing.T) {
 	}
 }
 
-// TestClassifierIPv6Prefixes exercises the v6 side of the prefix tries.
+// TestClassifierIPv6Prefixes exercises the v6 side of the prefix tables.
 func TestClassifierIPv6Prefixes(t *testing.T) {
 	p := newVictimPort()
 	m := MatchAll()
@@ -182,17 +176,16 @@ func TestClassifierIPv6Prefixes(t *testing.T) {
 	if r := p.Classify(out); r != nil {
 		t.Fatalf("v6 dst outside prefix matched %v", r)
 	}
-	// A v4 flow must not be swallowed by the v6 trie.
+	// A v4 flow must not be swallowed by the v6 table.
 	if r := p.Classify(udpFlow(macPeerA, srcIPA, 123)); r != nil {
 		t.Fatalf("v4 flow matched v6 rule: %v", r)
 	}
 }
 
 // TestClassifierV4TrieDiscriminates is the structural regression test
-// for the v4 prefix trie: distinct v4 /32 rules must land on distinct
-// trie nodes (indexed by real v4 address bits), not collapse onto one
-// spine node, which would degrade dst-prefix blackholing back to a
-// linear scan.
+// for the v4 prefix tables: distinct v4 /32 rules must land in distinct
+// buckets (keyed by the real v4 address bits), not collapse into one,
+// which would degrade dst-prefix blackholing back to a linear scan.
 func TestClassifierV4TrieDiscriminates(t *testing.T) {
 	const n = 256
 	rules := make([]*Rule, n)
@@ -202,23 +195,15 @@ func TestClassifierV4TrieDiscriminates(t *testing.T) {
 		rules[i] = &Rule{ID: fmt.Sprintf("d%03d", i), Match: m, Action: ActionDrop}
 	}
 	c := compile(rules)
-	var maxLoad int
-	var walk func(nd *trieNode)
-	walk = func(nd *trieNode) {
-		if len(nd.cands) > maxLoad {
-			maxLoad = len(nd.cands)
-		}
-		for _, ch := range nd.child {
-			if ch != nil {
-				walk(ch)
-			}
+	if len(c.dstIP.v4) != n {
+		t.Fatalf("%d v4 /32 rules occupy %d buckets, want %d", n, len(c.dstIP.v4), n)
+	}
+	for k, cands := range c.dstIP.v4 {
+		if len(cands) != 1 {
+			t.Fatalf("v4 bucket %#x holds %d candidates; /32 rules must not share buckets", k, len(cands))
 		}
 	}
-	walk(c.dstTrie.v4)
-	if maxLoad != 1 {
-		t.Fatalf("a v4 trie node holds %d candidates; /32 rules must not share nodes", maxLoad)
-	}
-	// And the walk still finds the right rule.
+	// And the lookup still finds the right rule.
 	f := netpkt.FlowKey{Src: srcIPA, Dst: netip.AddrFrom4([4]byte{100, 10, 0, 77}),
 		Proto: netpkt.ProtoUDP, SrcPort: 123, DstPort: 443}
 	if got := c.classify(f); got == nil || got.ID != "d077" {
@@ -363,4 +348,183 @@ func TestConcurrentFabricTicks(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestRuleChangeTickAllocsFlowIndependent pins the cost of the tick
+// that follows a rule change: installing a rule, running one egress
+// tick and removing the rule again must allocate the same at 8 offers
+// as at 800, so a fresh classifier generation costs nothing per flow.
+func TestRuleChangeTickAllocsFlowIndependent(t *testing.T) {
+	allocs := func(n int) float64 {
+		p := newVictimPort()
+		offers := make([]Offer, n)
+		for i := range offers {
+			f := udpFlow(macPeerA, srcIPA, uint16(100+i))
+			offers[i] = Offer{Flow: f, FlowHash: f.Hash(), Bytes: 1e4, Packets: 10}
+		}
+		r := dropNTPRule()
+		return testing.AllocsPerRun(50, func() {
+			if err := p.InstallRule(r); err != nil {
+				t.Fatal(err)
+			}
+			p.EgressStream(offers, 1, nil)
+			if err := p.RemoveRule(r.ID); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(8), allocs(800)
+	// Under -race sync.Pool drops the forward-queue scratch at random,
+	// and regrowing it costs a few allocations per run on average.
+	slack := 0.0
+	if raceEnabled {
+		slack = 10
+	}
+	if math.Abs(small-large) > slack {
+		t.Fatalf("allocations per install+tick+remove: %v at 8 offers, %v at 800", small, large)
+	}
+}
+
+// fuzzReader hands out fuzz bytes one at a time, then zeros.
+type fuzzReader []byte
+
+func (b *fuzzReader) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+var (
+	fuzzMACs   = []netpkt.MAC{macPeerA, macPeerB, macVictim, {}}
+	fuzzPorts  = []uint16{0, 53, 123, 443, 11211, 65535}
+	fuzzProtos = []netpkt.IPProto{0, netpkt.ProtoUDP, netpkt.ProtoTCP, netpkt.ProtoICMP}
+)
+
+// addr decodes a selector byte and a host byte into an address: v4
+// (kind 0), v6 (1), 4-in-6 mapped (2), the zero Addr (3) or a zoned v6
+// address (4). Bits 3-4 of sel pick one of four neighbouring networks.
+func (b *fuzzReader) addr(kinds byte) netip.Addr {
+	sel, host := b.next(), b.next()
+	net := (sel >> 3) % 4
+	switch sel % kinds {
+	case 0:
+		return netip.AddrFrom4([4]byte{100, 10, net, host})
+	case 1:
+		return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, net, 15: host})
+	case 2:
+		return netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: 100, 13: 10, 14: net, 15: host})
+	case 3:
+		return netip.Addr{}
+	default:
+		return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, net, 15: host}).WithZone("eth0")
+	}
+}
+
+// prefix decodes a rule prefix of any length, host bits left unmasked.
+func (b *fuzzReader) prefix() netip.Prefix {
+	a := b.addr(3)
+	return netip.PrefixFrom(a, int(b.next())%(a.BitLen()+1))
+}
+
+// rule decodes one rule: a flags byte selecting the criteria (bit 0
+// MAC, 1 proto, 2 src prefix, 3 dst prefix, 4 src port, 5 dst port;
+// bits 6-7 the action), then one value per selected criterion. A clear
+// proto bit wildcards the protocol.
+func (b *fuzzReader) rule(id string) *Rule {
+	flags := b.next()
+	m := MatchAll()
+	if flags&1 != 0 {
+		mac := fuzzMACs[int(b.next())%len(fuzzMACs)]
+		m.SrcMAC = &mac
+	}
+	if flags&2 != 0 {
+		m.Proto = fuzzProtos[1+int(b.next())%(len(fuzzProtos)-1)]
+	}
+	if flags&4 != 0 {
+		m.SrcIP = b.prefix()
+	}
+	if flags&8 != 0 {
+		m.DstIP = b.prefix()
+	}
+	if flags&16 != 0 {
+		m.SrcPort = int32(fuzzPorts[int(b.next())%len(fuzzPorts)])
+	}
+	if flags&32 != 0 {
+		m.DstPort = int32(fuzzPorts[int(b.next())%len(fuzzPorts)])
+	}
+	return &Rule{ID: id, Match: m, Action: ActionKind(flags>>6) % 3, ShapeRateBps: 1e6}
+}
+
+// flow decodes a flow header: MAC, proto (0 included), src, dst, ports.
+func (b *fuzzReader) flow() netpkt.FlowKey {
+	return netpkt.FlowKey{
+		SrcMAC:  fuzzMACs[int(b.next())%len(fuzzMACs)],
+		Proto:   fuzzProtos[int(b.next())%len(fuzzProtos)],
+		Src:     b.addr(5),
+		Dst:     b.addr(5),
+		SrcPort: fuzzPorts[int(b.next())%len(fuzzPorts)],
+		DstPort: fuzzPorts[int(b.next())%len(fuzzPorts)],
+	}
+}
+
+// FuzzClassifierMatchesLinear decodes up to 32 rules and a set of flows
+// from the fuzz input and requires the compiled lookup to agree with the
+// linear first-match scan, before and after one rule is removed. The
+// byte layout is: rule count, the rules (see fuzzReader.rule), then
+// 8-byte flows (see fuzzReader.flow) to the end of the input.
+func FuzzClassifierMatchesLinear(f *testing.F) {
+	// The shape of TestClassifierFirstMatchAcrossIndexes: UDP dst-port
+	// 443, any-proto src-port 123, dst 100.10.0.0/16, MAC, wildcard;
+	// one UDP 123 -> 443 flow matching all five.
+	f.Add([]byte{5, 0x22, 0, 3, 0x10, 2, 0x08, 0, 0, 16, 0x01, 0, 0x00,
+		0, 1, 0, 1, 0, 77, 2, 3})
+	// TestClassifierIPv6Prefixes: a v6 /32 dst rule, a v6 and a v4 flow.
+	f.Add([]byte{1, 0x08, 1, 0, 32,
+		0, 1, 1, 1, 1, 16, 2, 3,
+		0, 1, 0, 1, 0, 16, 2, 3})
+	// TestClassifierAnyProtoPortRule: any-proto dst 443; UDP, TCP,
+	// proto-0 flows to 443 and a TCP flow to 53.
+	f.Add([]byte{1, 0x20, 3,
+		0, 1, 0, 1, 0, 9, 2, 3,
+		1, 2, 0, 2, 0, 9, 0, 3,
+		1, 0, 0, 2, 0, 9, 0, 3,
+		1, 2, 0, 2, 0, 9, 0, 1})
+	// 4-in-6: a ::ffff:100.10.0.0/120 dst rule ahead of a v4 /24 rule,
+	// with mapped, native v4 and zoned v6 flows.
+	f.Add([]byte{2, 0x48, 2, 0, 120, 0x88, 0, 0, 24,
+		0, 1, 0, 1, 2, 5, 2, 3,
+		0, 1, 0, 1, 0, 5, 2, 3,
+		0, 1, 0, 1, 4, 5, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzReader(data)
+		p := newVictimPort()
+		n := int(in.next()) % 33
+		for i := 0; i < n; i++ {
+			if err := p.InstallRule(in.rule(fmt.Sprintf("r%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var flows []netpkt.FlowKey
+		for len(in) > 0 && len(flows) < 64 {
+			flows = append(flows, in.flow())
+		}
+		check := func(stage string) {
+			rules := p.Rules()
+			for _, fl := range flows {
+				if got, want := p.Classify(fl), linearClassify(rules, fl); got != want {
+					t.Fatalf("%s: Classify(%v) = %v, want %v (rules: %v)", stage, fl, got, want, rules)
+				}
+			}
+		}
+		check("installed")
+		if n > 0 {
+			if err := p.RemoveRule(fmt.Sprintf("r%d", len(data)%n)); err != nil {
+				t.Fatal(err)
+			}
+			check("after remove")
+		}
+	})
 }

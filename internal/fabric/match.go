@@ -12,7 +12,7 @@
 //
 // Classification is line-rate in spirit: rule installs compile the
 // port's rule set into an immutable lookup structure (exact-match port
-// tables, per-field prefix tries, a source-MAC index and a short
+// tables, per-field prefix tables, a source-MAC index and a short
 // residual list — see classifier.go) published through an atomic
 // pointer, so the data path runs lock-free with first-match-priority
 // semantics while rule management stays serialized. Fabric.Tick runs

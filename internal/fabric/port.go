@@ -17,9 +17,9 @@ type Offer struct {
 	Bytes   float64
 	Packets float64
 	// FlowHash optionally carries Flow.Hash() computed once by the
-	// traffic generator, so the egress hot loop classifies repeated
-	// flows from the per-classifier memo with zero re-hashing. 0 means
-	// "not computed"; the engine hashes on demand.
+	// traffic generator. Classification does not read it; egress hands
+	// it to the FlowVisitor so the flow monitor shards delivered flows
+	// without re-hashing. 0 means "not computed".
 	FlowHash uint64
 }
 
@@ -182,13 +182,7 @@ func (p *Port) RuleCount() int {
 // default forwarding queue. It is lock-free and safe to call
 // concurrently with rule management and egress ticks.
 func (p *Port) Classify(f netpkt.FlowKey) *Rule {
-	return p.cls.Load().classifyHashed(f, 0)
-}
-
-// ClassifyHashed is Classify with the flow's precomputed
-// netpkt.FlowKey.Hash (0: computed on demand).
-func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
-	return p.cls.Load().classifyHashed(f, hash)
+	return p.cls.Load().classify(f)
 }
 
 // EgressPacket runs one packet through classification and the queues,
@@ -197,7 +191,7 @@ func (p *Port) ClassifyHashed(f netpkt.FlowKey, hash uint64) *Rule {
 func (p *Port) EgressPacket(pkt *netpkt.Packet) Disposition {
 	f := pkt.Flow()
 	bits := float64(pkt.WireLen) * 8
-	r := p.cls.Load().classifyHashed(f, 0)
+	r := p.cls.Load().classify(f)
 	if r == nil {
 		return Delivered
 	}
@@ -296,7 +290,7 @@ func (p *Port) egress(offers []Offer, dtSeconds float64, visit FlowVisitor, coll
 	var shapeGroups map[string]*shapeGroup
 
 	for _, o := range offers {
-		r := cls.classifyHashed(o.Flow, o.FlowHash)
+		r := cls.classify(o.Flow)
 		if r == nil {
 			forward = append(forward, fwd{o.Flow, o.FlowHash, o.Bytes})
 			forwardBytes += o.Bytes

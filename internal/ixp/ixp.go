@@ -118,6 +118,7 @@ func Build(cfg Config) (*IXP, error) {
 	x.Router = hw.NewEdgeRouter(hw.DefaultEdgeRouterLimits(len(cfg.Members), cfg.HWUnitN))
 
 	portIndex := make(map[string]int, len(cfg.Members))
+	peers := make([]routeserver.PeerConfig, 0, len(cfg.Members))
 	for i, m := range cfg.Members {
 		if _, dup := x.members[m.Name]; dup {
 			return nil, fmt.Errorf("ixp: duplicate member %s", m.Name)
@@ -128,13 +129,14 @@ func Build(cfg Config) (*IXP, error) {
 		if err := x.Fabric.AddPort(fabric.NewPort(m.Name, m.MAC, m.PortCapacityBps)); err != nil {
 			return nil, err
 		}
-		if err := x.RS.AddPeer(routeserver.PeerConfig{Name: m.Name, ASN: m.ASN, BGPID: m.BGPID}); err != nil {
-			return nil, err
-		}
+		peers = append(peers, routeserver.PeerConfig{Name: m.Name, ASN: m.ASN, BGPID: m.BGPID})
 		for _, p := range m.Prefixes {
 			x.Policy.IRR.Register(m.ASN, p)
 		}
 		portIndex[m.Name] = i
+	}
+	if err := x.RS.AddPeer(peers...); err != nil {
+		return nil, err
 	}
 
 	if cfg.EnableStellar {

@@ -165,24 +165,37 @@ func New(cfg Config) *RouteServer {
 	return rs
 }
 
-// AddPeer registers a member session. Path IDs on the controller feed are
-// assigned in join order and never reused.
-func (rs *RouteServer) AddPeer(cfg PeerConfig) error {
+// AddPeer registers member sessions, all or none: a name already
+// registered or repeated in cfgs fails with ErrDuplicatePeer. Path IDs
+// on the controller feed are assigned in join order and never reused.
+// Registering a whole population in one call copies the registry once
+// instead of once per peer.
+func (rs *RouteServer) AddPeer(cfgs ...PeerConfig) error {
 	rs.writeMu.Lock()
 	defer rs.writeMu.Unlock()
 	old := rs.reg.Load()
-	if _, ok := old.peers[cfg.Name]; ok {
-		return ErrDuplicatePeer
+	// Re-registration is the common case on replay paths, which call
+	// AddPeer per record: fail it before copying the registry.
+	for _, cfg := range cfgs {
+		if _, ok := old.peers[cfg.Name]; ok {
+			return ErrDuplicatePeer
+		}
 	}
 	next := &registry{
-		peers: make(map[string]*peerState, len(old.peers)+1),
-		order: append(append([]string(nil), old.order...), cfg.Name),
+		peers: make(map[string]*peerState, len(old.peers)+len(cfgs)),
+		order: append(make([]string, 0, len(old.order)+len(cfgs)), old.order...),
 		subs:  old.subs,
 	}
 	for name, ps := range old.peers {
 		next.peers[name] = ps
 	}
-	next.peers[cfg.Name] = &peerState{cfg: cfg, pathID: uint32(len(next.order))}
+	for _, cfg := range cfgs {
+		if _, ok := next.peers[cfg.Name]; ok { // repeated within cfgs
+			return ErrDuplicatePeer
+		}
+		next.order = append(next.order, cfg.Name)
+		next.peers[cfg.Name] = &peerState{cfg: cfg, pathID: uint32(len(next.order))}
+	}
 	rs.reg.Store(next)
 	return nil
 }

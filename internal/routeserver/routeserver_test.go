@@ -63,6 +63,29 @@ func TestAddPeerDuplicate(t *testing.T) {
 	}
 }
 
+// TestAddPeerBatch pins the batch form: path IDs continue the join
+// order, and a batch naming a peer twice (or an existing one) registers
+// none of its peers.
+func TestAddPeerBatch(t *testing.T) {
+	rs := newRS(t, peerCfg(0))
+	if err := rs.AddPeer(peerCfg(1), peerCfg(2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"A", "B", "C"} {
+		if got := rs.reg.Load().peers[name].pathID; got != uint32(i+1) {
+			t.Fatalf("peer %s path ID %d, want %d", name, got, i+1)
+		}
+	}
+	for _, batch := range [][]PeerConfig{{peerCfg(3), peerCfg(3)}, {peerCfg(3), peerCfg(1)}} {
+		if err := rs.AddPeer(batch...); err != ErrDuplicatePeer {
+			t.Fatalf("batch %v: err = %v", batch, err)
+		}
+	}
+	if got := rs.Peers(); strings.Join(got, "") != "ABC" {
+		t.Fatalf("Peers after rejected batches: %v", got)
+	}
+}
+
 func TestUnknownPeer(t *testing.T) {
 	rs := newRS(t, peerCfg(0))
 	if _, _, err := rs.HandleUpdate("Z", &bgp.Update{}); err != ErrUnknownPeer {

@@ -94,8 +94,8 @@ type Attack struct {
 	weights []float64
 	// flows and hashes cache the per-peer flow keys and their
 	// netpkt.FlowKey.Hash values so each tick's Offers emits pre-hashed
-	// offers with zero per-tick re-hashing (the fabric's egress hot loop
-	// classifies them from its flow memo). Offers revalidates each
+	// offers with zero per-tick re-hashing (the flow monitor shards
+	// delivered flows by that hash). Offers revalidates each
 	// cached key against the current Target/Vector/Peers fields with a
 	// cheap struct compare, so post-construction mutation stays correct.
 	flows  []netpkt.FlowKey
